@@ -210,19 +210,22 @@ type Hit struct {
 	Score float64
 }
 
-func (ix *Index) docName(id uint32) string {
-	if ix.names != nil && int(id) < len(ix.names) {
-		return ix.names[id]
-	}
-	return fmt.Sprintf("doc%d", id)
-}
-
-func (ix *Index) hits(entries []topk.Entry) []Hit {
+// hits converts ranked entries into facade hits, naming documents from
+// names (nil names every document "doc<N>", as for synthetic corpora).
+func hits(names []string, entries []topk.Entry) []Hit {
 	out := make([]Hit, len(entries))
 	for i, e := range entries {
-		out[i] = Hit{Doc: ix.docName(e.DocID), DocID: e.DocID, Score: e.Score}
+		out[i] = Hit{Doc: docName(names, e.DocID), DocID: e.DocID, Score: e.Score}
 	}
 	return out
+}
+
+// docName resolves a docID against an optional name table.
+func docName(names []string, id uint32) string {
+	if int(id) < len(names) {
+		return names[id]
+	}
+	return fmt.Sprintf("doc%d", id)
 }
 
 // NumDocs reports the number of indexed documents.
@@ -249,7 +252,7 @@ func (ix *Index) Search(expr string, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ix.hits(res.TopK), nil
+	return hits(ix.names, res.TopK), nil
 }
 
 // BatchItem is one query's outcome in a batch search. A nil Err with empty
@@ -290,7 +293,7 @@ func (ix *Index) SearchBatch(exprs []string, k int) []BatchItem {
 			items[i].Err = err
 			continue
 		}
-		items[i].Hits = ix.hits(br.Results[j].TopK)
+		items[i].Hits = hits(ix.names, br.Results[j].TopK)
 	}
 	return items
 }
@@ -470,7 +473,7 @@ func (a *Accelerator) SearchFetch(expr string, k int) ([]Hit, []Doc, *SimStats, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return a.ix.hits(res.TopK), docs, simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, res.TopK), docs, simStats(res.M, a.dev, a.cores), nil
 }
 
 // SimStats summarizes one simulated query execution.
@@ -519,7 +522,7 @@ func (a *Accelerator) Search(expr string, k int) ([]Hit, *SimStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return a.ix.hits(res.TopK), simStats(res.M, a.dev, a.cores), nil
+	return hits(a.ix.names, res.TopK), simStats(res.M, a.dev, a.cores), nil
 }
 
 // SearchBatch runs many queries concurrently on the simulated accelerator
@@ -546,7 +549,7 @@ func (a *Accelerator) SearchBatch(exprs []string, k int) []BatchItem {
 			continue
 		}
 		res := br.Results[j]
-		items[i].Hits = a.ix.hits(res.TopK)
+		items[i].Hits = hits(a.ix.names, res.TopK)
 		items[i].Stats = simStats(res.M, a.dev, a.cores)
 	}
 	return items
@@ -604,7 +607,6 @@ func (ix *Index) CommonTerm(rank int) string {
 // collection-global statistics, results are identical to a single index's.
 type ShardedIndex struct {
 	cluster *pool.Cluster
-	names   []string
 }
 
 // Shard builds a sharded deployment of a synthetic corpus over the given
@@ -682,49 +684,69 @@ func (s *ShardedIndex) DocCacheHitRate() float64 { return s.cluster.CacheStats()
 
 // Search fans the query out to every node and merges the results. The
 // returned stats aggregate all nodes' work; HostBytes is the total result
-// traffic over the shared interconnect (per-node top-k lists).
+// traffic over the shared interconnect (per-node top-k lists). It is
+// SearchCtx without a deadline, except that a degraded result — one with
+// a node missing — fails with the first failed node's error, since the
+// return values carry no degraded mask.
 func (s *ShardedIndex) Search(expr string, k int) ([]Hit, *SimStats, error) {
-	res, err := s.cluster.Search(expr, k)
+	res, err := s.cluster.SearchCtx(context.Background(), expr, k)
+	if err == nil {
+		err = firstShardErr(res)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
+	h, st := clusterHits(res)
+	return h, st, nil
+}
+
+// SearchBatch pipelines many queries across the pooled-memory cluster: each
+// host worker owns one in-flight query and sweeps it across the nodes, so
+// different queries occupy different nodes concurrently. Items preserve
+// input order and match Search query for query: a degraded query's item
+// carries its first failed node's error.
+func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
+	return batchItems(s.cluster.SearchBatchCtx(context.Background(), exprs, k), true)
+}
+
+// clusterHits converts a cluster result's merged ranking and per-node
+// work into facade hits and aggregate simulated stats.
+func clusterHits(res *pool.ClusterResult) ([]Hit, *SimStats) {
 	agg := perf.NewMetrics()
 	for _, m := range res.PerShard {
 		if m != nil {
 			agg.Merge(m)
 		}
 	}
-	hits := make([]Hit, len(res.TopK))
-	for i, e := range res.TopK {
-		hits[i] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-	}
-	return hits, simStats(agg, mem.SCM(), 8), nil
+	return hits(nil, res.TopK), simStats(agg, mem.SCM(), 8)
 }
 
-// SearchBatch pipelines many queries across the pooled-memory cluster: each
-// host worker owns one in-flight query and sweeps it across the nodes, so
-// different queries occupy different nodes concurrently. Items preserve
-// input order and match Search query for query.
-func (s *ShardedIndex) SearchBatch(exprs []string, k int) []BatchItem {
-	br := s.cluster.SearchBatch(exprs, k)
-	items := make([]BatchItem, len(exprs))
-	for i := range exprs {
-		if err := br.Errs[i]; err != nil {
+// firstShardErr returns a result's first failed node's error in node
+// order (nil for a complete result).
+func firstShardErr(res *pool.ClusterResult) error {
+	for _, err := range res.ShardErrs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// batchItems converts a cluster batch into facade items; strict turns a
+// degraded result into its first failed node's error.
+func batchItems(br *pool.BatchResult, strict bool) []BatchItem {
+	items := make([]BatchItem, len(br.Errs))
+	for i, res := range br.Results {
+		err := br.Errs[i]
+		if err == nil && strict {
+			err = firstShardErr(res)
+		}
+		if err != nil {
 			items[i].Err = err
 			continue
 		}
-		res := br.Results[i]
-		agg := perf.NewMetrics()
-		for _, m := range res.PerShard {
-			if m != nil {
-				agg.Merge(m)
-			}
-		}
-		items[i].Hits = make([]Hit, len(res.TopK))
-		for j, e := range res.TopK {
-			items[i].Hits[j] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-		}
-		items[i].Stats = simStats(agg, mem.SCM(), 8)
+		items[i].Hits, items[i].Stats = clusterHits(res)
+		items[i].Degraded = res.Degraded
 	}
 	return items
 }
@@ -803,23 +825,13 @@ type ShardedResult struct {
 
 // shardedResult converts a cluster result into the facade form.
 func shardedResult(res *pool.ClusterResult, withDocs bool) *ShardedResult {
-	agg := perf.NewMetrics()
-	for _, m := range res.PerShard {
-		if m != nil {
-			agg.Merge(m)
-		}
-	}
 	out := &ShardedResult{
-		Hits:      make([]Hit, len(res.TopK)),
-		Stats:     simStats(agg, mem.SCM(), 8),
 		Degraded:  res.Degraded,
 		Hedged:    res.Hedged,
 		HedgeWins: res.HedgeWins,
 		ServedBy:  res.ServedBy,
 	}
-	for i, e := range res.TopK {
-		out.Hits[i] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-	}
+	out.Hits, out.Stats = clusterHits(res)
 	if withDocs {
 		out.Docs = docsFromFetched(res.Docs)
 	}
@@ -888,26 +900,5 @@ func (s *ShardedIndex) SearchCtx(ctx context.Context, expr string, k int) (*Shar
 // failing them, and cancelling the context fails the remaining queries
 // promptly.
 func (s *ShardedIndex) SearchBatchCtx(ctx context.Context, exprs []string, k int) []BatchItem {
-	br := s.cluster.SearchBatchCtx(ctx, exprs, k)
-	items := make([]BatchItem, len(exprs))
-	for i := range exprs {
-		if err := br.Errs[i]; err != nil {
-			items[i].Err = err
-			continue
-		}
-		res := br.Results[i]
-		agg := perf.NewMetrics()
-		for _, m := range res.PerShard {
-			if m != nil {
-				agg.Merge(m)
-			}
-		}
-		items[i].Degraded = res.Degraded
-		items[i].Hits = make([]Hit, len(res.TopK))
-		for j, e := range res.TopK {
-			items[i].Hits[j] = Hit{Doc: fmt.Sprintf("doc%d", e.DocID), DocID: e.DocID, Score: e.Score}
-		}
-		items[i].Stats = simStats(agg, mem.SCM(), 8)
-	}
-	return items
+	return batchItems(s.cluster.SearchBatchCtx(ctx, exprs, k), false)
 }

@@ -183,6 +183,12 @@ func main() {
 		} else {
 			fmt.Println(rep.Table().String())
 		}
+		// The rate-0 point is the sweep's gate: a fault-free (or, with
+		// -replicakill, failover-only) run must serve every query in full.
+		if err := rep.ControlErr(); err != nil {
+			fmt.Fprintf(os.Stderr, "bossbench: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 

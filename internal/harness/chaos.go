@@ -44,7 +44,8 @@ type ChaosPoint struct {
 	TransientRetries int64 `json:"transient_retries"`
 	// ShardRetries counts pool-level shard re-attempts (backoff events),
 	// and BreakerOpens counts circuit-breaker opens, both summed across
-	// shard replicas from the resilience event logs.
+	// shard replicas from the resilience event counters (exact past the
+	// bounded event logs).
 	ShardRetries int `json:"shard_retries"`
 	BreakerOpens int `json:"breaker_opens"`
 	// Hedged counts shard attempts that fired a hedged backup replica
@@ -192,16 +193,8 @@ func chaosPoint(base *pool.Cluster, seed int64, exprs []string, k int, rate floa
 
 	pt.Availability = float64(pt.FullyOK+pt.Degraded) / float64(pt.Queries)
 	pt.QPS = float64(pt.Queries) / elapsed.Seconds()
-	for si := 0; si < cl.Shards(); si++ {
-		for _, ev := range cl.Events(si) {
-			switch ev.Kind {
-			case pool.EvBackoff:
-				pt.ShardRetries++
-			case pool.EvBreakerOpen:
-				pt.BreakerOpens++
-			}
-		}
-	}
+	pt.ShardRetries = int(cl.EventCount(pool.EvBackoff))
+	pt.BreakerOpens = int(cl.EventCount(pool.EvBreakerOpen))
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	pt.P50LatencyUS = float64(lat[percentileIdx(len(lat), 50)]) / float64(time.Microsecond)
 	pt.P99LatencyUS = float64(lat[percentileIdx(len(lat), 99)]) / float64(time.Microsecond)
@@ -265,6 +258,20 @@ func Chaos(ctx *Context, shards, replicas int, replicaKill bool) *ChaosReport {
 		rep.Points = append(rep.Points, chaosPoint(base, seed, exprs, k, rate, replicaKill))
 	}
 	return rep
+}
+
+// ControlErr checks the sweep's rate-zero control point: with no media
+// faults injected (replica-kill mode still kills copy 0 of every shard,
+// so there it checks failover), every query must be served in full —
+// availability 1, nothing degraded, nothing failed.
+func (r *ChaosReport) ControlErr() error {
+	for _, p := range r.Points {
+		if p.FaultRate == 0 && (p.Availability < 1 || p.Degraded > 0 || p.Failed > 0) {
+			return fmt.Errorf("chaos control point (fault rate 0): availability %.4f with %d degraded and %d failed of %d queries, want 1 with none",
+				p.Availability, p.Degraded, p.Failed, p.Queries)
+		}
+	}
+	return nil
 }
 
 // Table renders the report in the harness table format so -chaos composes

@@ -36,10 +36,9 @@ type Cluster struct {
 	// si. Replica 0 serves the base index; replicas 1..R-1 serve
 	// index.ReplicaView copies, so every replica shares one decoded-block
 	// cache budget with replica-disjoint keys and owns its own
-	// fault-injection domain. The deterministic plain paths
-	// (Search/SearchSerial/SearchBatch) always run replica 0 —
-	// byte-identical to single-copy serving; only the resilient paths
-	// route across replicas.
+	// fault-injection domain. Every serving path routes across replicas
+	// through the executor's one attempt loop (exec.go); replicas hold
+	// the same blocks, so rankings do not depend on which copy answered.
 	accs [][]*core.Accelerator
 	// present is the cluster-level term-presence set, built once so query
 	// validation does not rescan every shard's dictionary per term.
@@ -78,8 +77,8 @@ type Cluster struct {
 	// timerFn arms the hedge-cutoff timer, returning the fire channel
 	// and a stop function; tests substitute a hand-fired channel.
 	timerFn func(d time.Duration) (<-chan time.Time, func() bool) //boss:wallclock hedge cutoff timer
-	// runFn issues one replica attempt on the hedged path; tests
-	// substitute it to script replica latencies deterministically.
+	// runFn issues one search attempt on a replica; tests substitute it
+	// to script replica latencies deterministically.
 	runFn func(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int) shardOut
 }
 
@@ -384,9 +383,8 @@ type ClusterResult struct {
 	// shared interconnect for this query.
 	LinkBytes int64
 	// Degraded is a bitmask of shards whose results are missing from
-	// TopK (bit si set = shard si failed). Zero means the result is
-	// complete. Only the resilient paths (SearchCtx/SearchBatchCtx)
-	// degrade; plain Search fails the query on any shard error.
+	// TopK (bit si set = shard si failed or was shed). Zero means the
+	// result is complete.
 	Degraded uint64
 	// ShardErrs, non-nil only for degraded results, holds each failed
 	// shard's error at its shard index.
@@ -457,169 +455,6 @@ func (cl *Cluster) workers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// shardOut is one node's contribution to a fanned-out query.
-type shardOut struct {
-	m    *perf.Metrics
-	topk []topk.Entry
-	err  error
-	// ri is the replica that produced the result (resilient paths only;
-	// the plain paths always run replica 0). hedged/hedgeWin count the
-	// backup attempts fired and adopted while producing it.
-	ri       int
-	hedged   int
-	hedgeWin bool
-}
-
-// runShard executes the query on one shard, pruning terms the shard does
-// not hold. A nil-metrics result means the shard cannot match the query.
-// dnf is the query's shared normalization; it applies whenever pruning left
-// the query intact (the common case — hot terms exist on every shard).
-func (cl *Cluster) runShard(node *query.Node, dnf [][]string, si, k int) shardOut {
-	pruned := pruneForShard(node, cl.shardTerms[si])
-	if pruned == nil {
-		return shardOut{}
-	}
-	if pruned.Op == query.OpSparse {
-		out, err := cl.accs[si][0].RunSparse(pruned.Terms(), k)
-		if err != nil {
-			return shardOut{err: fmt.Errorf("pool: shard %d: %w", si, err)}
-		}
-		return shardOut{m: out.M, topk: out.TopK}
-	}
-	if pruned != node {
-		dnf = pruned.DNF()
-	}
-	out, err := cl.accs[si][0].RunDNF(dnf, k)
-	if err != nil {
-		return shardOut{err: fmt.Errorf("pool: shard %d: %w", si, err)}
-	}
-	return shardOut{m: out.M, topk: out.TopK}
-}
-
-// mergeShardOuts folds per-shard results into the root-merged ranking.
-// Merging in ascending shard order keeps the result bit-identical to the
-// serial path no matter how the shard runs were scheduled.
-func (cl *Cluster) mergeShardOuts(outs []shardOut, k int) (*ClusterResult, error) {
-	res := &ClusterResult{PerShard: make([]*perf.Metrics, len(outs))}
-	merged := topk.NewHeap(k)
-	for si, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
-		if out.m == nil {
-			continue
-		}
-		res.PerShard[si] = out.m
-		res.LinkBytes += out.m.HostBytes
-		for _, e := range out.topk {
-			merged.Insert(e.DocID+cl.offsets[si], e.Score)
-		}
-	}
-	res.TopK = merged.Results()
-	return res, nil
-}
-
-// Search fans a query out to every node and merges the local top-k lists.
-// Shards run concurrently on a bounded worker pool (Config.Workers, default
-// GOMAXPROCS); results are bit-identical to SearchSerial because per-shard
-// execution is independent and the root merge preserves shard order.
-func (cl *Cluster) Search(expr string, k int) (*ClusterResult, error) {
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]shardOut, len(cl.shards))
-	workers := cl.workers(len(cl.shards))
-	if workers == 1 {
-		for si := range cl.shards {
-			outs[si] = cl.runShard(node, dnf, si, k)
-		}
-		return cl.mergeShardOuts(outs, k)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range next {
-				outs[si] = cl.runShard(node, dnf, si, k)
-			}
-		}()
-	}
-	for si := range cl.shards {
-		next <- si
-	}
-	close(next)
-	wg.Wait()
-	return cl.mergeShardOuts(outs, k)
-}
-
-// SearchSerial visits shards one at a time on the calling goroutine. It is
-// the reference implementation the parallel path is tested against, and the
-// baseline the wall-clock benchmarks compare to.
-func (cl *Cluster) SearchSerial(expr string, k int) (*ClusterResult, error) {
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]shardOut, len(cl.shards))
-	for si := range cl.shards {
-		outs[si] = cl.runShard(node, dnf, si, k)
-		if outs[si].err != nil {
-			break // match the parallel path: first shard error wins
-		}
-	}
-	return cl.mergeShardOuts(outs, k)
-}
-
-// BatchResult is the outcome of a pipelined query batch.
-type BatchResult struct {
-	// Results holds one ClusterResult per input query, in input order; nil
-	// where the matching Errs entry is non-nil.
-	Results []*ClusterResult
-	// Errs holds one entry per input query (nil for successes).
-	Errs []error
-	// Err is the first error in input order (remaining queries still run).
-	Err error
-}
-
-// SearchBatch pipelines many queries across the cluster: each worker owns
-// one in-flight query and sweeps it across all shards, so different queries
-// occupy different nodes concurrently. Per-query results are bit-identical
-// to Search.
-func (cl *Cluster) SearchBatch(exprs []string, k int) *BatchResult {
-	br := &BatchResult{
-		Results: make([]*ClusterResult, len(exprs)),
-		Errs:    make([]error, len(exprs)),
-	}
-	workers := cl.workers(len(exprs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Workers write only their own indices, so no lock is needed.
-			for qi := range next {
-				br.Results[qi], br.Errs[qi] = cl.SearchSerial(exprs[qi], k)
-			}
-		}()
-	}
-	for qi := range exprs {
-		next <- qi
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range br.Errs {
-		if err != nil {
-			br.Err = err
-			break
-		}
-	}
-	return br
 }
 
 // ClusterReport summarizes an event-driven batch run across all nodes.

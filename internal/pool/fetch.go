@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"boss/internal/core"
 	"boss/internal/corpus"
@@ -23,7 +22,7 @@ import (
 // only on (Seed, global docID, DocLens), so every shard count packs
 // byte-identical documents and fetch results are sharding-independent.
 //
-// Fetches ride the same resilience machinery as searches: per-shard
+// Fetches run through the same executor as searches (exec.go): per-shard
 // circuit breakers, bounded retry with jittered backoff, per-attempt
 // deadlines, and graceful degradation (a failed shard zeroes its
 // documents and sets its Degraded bit instead of failing the batch).
@@ -113,120 +112,50 @@ func fetchRangeError(id uint32, n int) error {
 // ShardErrs. The call errors only on invalid ids, a dead context, or
 // when every involved shard failed.
 func (cl *Cluster) FetchBatch(ctx context.Context, ids []uint32) (*ClusterResult, error) {
-	return cl.fetchBatchMask(ctx, ids, 0)
-}
-
-// fetchBatchMask is FetchBatch under a front-door shard mask: masked-out
-// shards are skipped entirely (no attempt, no breaker or retry activity)
-// and reported with ErrShardShed, like searchSerialCtxMask.
-func (cl *Cluster) fetchBatchMask(ctx context.Context, ids []uint32, mask uint64) (*ClusterResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return cl.fetch(ctx, ids, 0, false)
+}
+
+// fetchPlan is a fetch task's routing: ids[si] are the requested docIDs
+// shard si owns, pos[si] their positions in the request, and docs the
+// result slots the attempts fill.
+type fetchPlan struct {
+	ids  [][]uint32
+	pos  [][]int
+	docs []FetchedDoc
+}
+
+// fetch routes each requested docID to its owning shard and runs the
+// fetch through the executor (under a front-door shard mask; serial as
+// in execute). Fetches ride the same attempt loop, breakers, and
+// degradation as searches.
+func (cl *Cluster) fetch(ctx context.Context, ids []uint32, mask uint64, serial bool) (*ClusterResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := cl.EnsureDocs(); err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{
-		PerShard: make([]*perf.Metrics, len(cl.shards)),
-		Docs:     make([]FetchedDoc, len(ids)),
+	fp := &fetchPlan{
+		ids:  make([][]uint32, len(cl.shards)),
+		pos:  make([][]int, len(cl.shards)),
+		docs: make([]FetchedDoc, len(ids)),
 	}
-	if len(ids) == 0 {
-		return res, nil
-	}
-	// Route each requested docID to its owning shard, remembering where in
-	// the input it goes back.
-	byShard := make([][]uint32, len(cl.shards))
-	pos := make([][]int, len(cl.shards))
 	for i, id := range ids {
 		if int(id) >= cl.spec.NumDocs {
 			return nil, fetchRangeError(id, cl.spec.NumDocs)
 		}
 		si := cl.shardOfDoc(id)
-		byShard[si] = append(byShard[si], id)
-		pos[si] = append(pos[si], i)
+		fp.ids[si] = append(fp.ids[si], id)
+		fp.pos[si] = append(fp.pos[si], i)
 	}
-	type fetchOut struct {
-		m   *perf.Metrics
-		err error
-	}
-	outs := make([]fetchOut, len(cl.shards))
-	runOne := func(si int) {
-		if len(byShard[si]) == 0 {
-			return
-		}
-		if !maskHas(mask, si) {
-			outs[si] = fetchOut{err: shedShardError(si)}
-			return
-		}
-		m, err := cl.fetchShardResilient(ctx, si, byShard[si], pos[si], res.Docs)
-		outs[si] = fetchOut{m: m, err: err}
-	}
-	if workers := cl.workers(len(cl.shards)); workers == 1 {
-		for si := range cl.shards {
-			runOne(si)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					runOne(si)
-				}
-			}()
-		}
-		for si := range cl.shards {
-			next <- si
-		}
-		close(next)
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Fold per-shard outcomes, degrading failed shards like mergePartial.
-	involved, failed := 0, 0
-	var firstErr error
-	for si, out := range outs {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		involved++
-		if out.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if si < 64 {
-				res.Degraded |= 1 << uint(si)
-			}
-			if res.ShardErrs == nil {
-				res.ShardErrs = make([]error, len(outs))
-			}
-			res.ShardErrs[si] = out.err
-			// A failed attempt may have partially populated its documents;
-			// zero them so degraded entries are unambiguous.
-			for _, p := range pos[si] {
-				res.Docs[p] = FetchedDoc{}
-			}
-			continue
-		}
-		res.PerShard[si] = out.m
-		res.LinkBytes += out.m.HostBytes
-	}
-	if failed == involved && failed > 0 {
-		return nil, firstErr
-	}
-	return res, nil
+	return cl.execute(ctx, &task{fetch: fp, mask: mask, qkey: fetchQueryKey(ids)}, serial)
 }
 
 // fetchQueryKey folds a fetch's docID set into the stable query key the
-// replica rotation hashes on, so a given fetch routes to the same copy
+// replica rotation hashes on, so a given fetch routes to the same copies
 // across replays just like a search expression does.
 func fetchQueryKey(ids []uint32) uint64 {
 	var key uint64
@@ -236,49 +165,14 @@ func fetchQueryKey(ids []uint32) uint64 {
 	return key
 }
 
-// fetchShardResilient drives one shard's fetch attempt loop:
-// breaker-aware replica selection, bounded retry with jittered backoff,
-// parent-context awareness — the fetch twin of runShardResilient,
-// sharing its per-replica breaker state so a copy that fails searches
-// also sheds fetches. Fetches are never hedged: a fetch attempt writes
-// payloads into the caller's docs slice in place, and two racing
-// attempts would tear those writes.
-func (cl *Cluster) fetchShardResilient(ctx context.Context, si int, ids []uint32, pos []int, docs []FetchedDoc) (*perf.Metrics, error) {
-	qkey := fetchQueryKey(ids)
-	for attempt := 0; ; attempt++ {
-		if cause := ctx.Err(); cause != nil {
-			return nil, shardError(si, cause)
-		}
-		st, ri, ok := cl.pickReplica(si, qkey, attempt)
-		if !ok {
-			return nil, breakerError(si)
-		}
-		recordAttempt(st, attempt)
-		m, err := cl.fetchShardAttempt(ctx, si, ri, ids, pos, docs)
-		cl.settle(st, err, attempt)
-		if err == nil {
-			return m, nil
-		}
-		if attempt >= cl.res.MaxRetries || !cl.retryableOn(err, si) {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		d := cl.res.backoffDelay(si, attempt)
-		recordBackoff(st, attempt, d)
-		if cl.sleepFn(ctx, d) != nil {
-			return nil, err // context died during backoff: report the last failure
-		}
-	}
-}
-
-// fetchShardAttempt issues one fetch attempt on replica ri of shard si
-// under the per-attempt deadline: every requested document streams
-// through the replica's fetch engine, and the payloads are copied into
-// docs at their input positions. A fresh Metrics per attempt keeps
-// retried attempts from double-charging the recorded shard work.
-func (cl *Cluster) fetchShardAttempt(ctx context.Context, si, ri int, ids []uint32, pos []int, docs []FetchedDoc) (*perf.Metrics, error) {
+// fetchAttempt issues one fetch attempt on replica ri of shard si under
+// the per-attempt deadline: every requested document streams through
+// the replica's fetch engine, and the payloads are copied into the
+// plan's docs at their request positions. A fresh Metrics per attempt
+// keeps retried attempts from double-charging the recorded shard work;
+// a failed attempt zeroes the documents it touched so degraded entries
+// are unambiguous.
+func (cl *Cluster) fetchAttempt(ctx context.Context, fp *fetchPlan, si, ri int) shardOut {
 	if cl.res.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cl.res.ShardTimeout)
@@ -289,11 +183,14 @@ func (cl *Cluster) fetchShardAttempt(ctx context.Context, si, ri int, ids []uint
 	m := perf.NewMetrics()
 	var buf core.DocBuf
 	defer buf.Release()
-	for j, id := range ids {
+	for j, id := range fp.ids[si] {
 		if err := eng.FetchInto(ctx, id-off, m, &buf); err != nil {
-			return nil, shardError(si, err)
+			for _, p := range fp.pos[si] {
+				fp.docs[p] = FetchedDoc{}
+			}
+			return shardOut{err: shardError(si, err)}
 		}
-		d := &docs[pos[j]]
+		d := &fp.docs[fp.pos[si][j]]
 		d.DocID = id
 		d.Fields = copyFields(d.Fields, buf.Fields)
 		var n int64
@@ -303,7 +200,7 @@ func (cl *Cluster) fetchShardAttempt(ctx context.Context, si, ri int, ids []uint
 		// The returned payload crosses the shared interconnect to the root.
 		m.AddHost(n, mem.CatLoadDoc)
 	}
-	return m, nil
+	return shardOut{m: m}
 }
 
 // copyFields replaces dst with copies of src's field slices, reusing
@@ -372,8 +269,11 @@ func (cl *Cluster) SearchFetchCtx(ctx context.Context, expr string, k int) (*Clu
 // fetches its merged top-k documents. Per-query results match
 // SearchFetchCtx.
 func (cl *Cluster) SearchFetchBatch(ctx context.Context, exprs []string, k int) *BatchResult {
-	return cl.batchDriver(ctx, len(exprs), func(qi int) (*ClusterResult, error) {
-		res, err := cl.searchSerialCtx(ctx, exprs[qi], k)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return cl.batch(ctx, len(exprs), func(qi int) (*ClusterResult, error) {
+		res, err := cl.search(ctx, exprs[qi], k, 0, true)
 		if err != nil {
 			return nil, err
 		}

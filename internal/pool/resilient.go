@@ -9,9 +9,7 @@ import (
 
 	"boss/internal/core"
 	"boss/internal/mem"
-	"boss/internal/perf"
 	"boss/internal/query"
-	"boss/internal/topk"
 )
 
 // Resilience configures the cluster's fault-handling policy: per-shard
@@ -112,6 +110,8 @@ const (
 	// EvHedge marks a hedged backup attempt fired on this replica after
 	// the primary missed the cutoff.
 	EvHedge
+
+	numEventKinds
 )
 
 func (k EventKind) String() string {
@@ -155,6 +155,12 @@ const (
 	brHalfOpen
 )
 
+// eventRingCap bounds each shard replica's retained event log: the
+// newest eventRingCap events are kept and older ones overwritten, while
+// the per-kind counters stay exact past the ring. Large enough to hold
+// every test scenario's whole log.
+const eventRingCap = 1024
+
 // shardState is one shard replica's breaker plus its resilience event
 // log, under one mutex so log order matches breaker-transition order.
 type shardState struct {
@@ -164,12 +170,30 @@ type shardState struct {
 	fails    int
 	openedAt time.Time
 	probing  bool
-	events   []Event
+	// events is the log ring, grown up to eventRingCap; once full, next
+	// indexes the oldest entry (the next one overwritten).
+	events []Event
+	next   int
+	counts [numEventKinds]uint64
 }
 
-// record appends an event while holding s.mu.
+// record logs an event while holding s.mu.
 func (s *shardState) record(kind EventKind, attempt int, backoff time.Duration, err error) {
-	s.events = append(s.events, Event{Shard: s.si, Replica: s.ri, Kind: kind, Attempt: attempt, Backoff: backoff, Err: err})
+	ev := Event{Shard: s.si, Replica: s.ri, Kind: kind, Attempt: attempt, Backoff: backoff, Err: err}
+	if len(s.events) < eventRingCap {
+		s.events = append(s.events, ev)
+	} else {
+		s.events[s.next] = ev
+		s.next = (s.next + 1) % eventRingCap
+	}
+	s.counts[kind]++
+}
+
+// appendEvents appends the retained log, oldest first, to dst.
+func (s *shardState) appendEvents(dst []Event) []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append(append(dst, s.events[s.next:]...), s.events[:s.next]...)
 }
 
 // allow reports whether an attempt may be issued, applying the
@@ -242,33 +266,46 @@ func (s *shardState) abandon() {
 	s.mu.Unlock()
 }
 
-// Events snapshots one shard's resilience event log: every replica's
-// events concatenated in replica order (identical to the lone replica's
-// log on single-copy clusters). ReplicaEvents narrows to one copy.
+// Events snapshots one shard's retained resilience event log (the
+// newest eventRingCap events per replica): every replica's events
+// concatenated in replica order, identical to the lone replica's log on
+// single-copy clusters. ReplicaEvents narrows to one copy; EventCount
+// counts past the ring.
 func (cl *Cluster) Events(si int) []Event {
 	var out []Event
 	for _, s := range cl.states[si] {
-		s.mu.Lock()
-		out = append(out, s.events...)
-		s.mu.Unlock()
+		out = s.appendEvents(out)
 	}
 	return out
 }
 
-// ReplicaEvents snapshots one shard replica's resilience event log.
+// ReplicaEvents snapshots one shard replica's retained event log.
 func (cl *Cluster) ReplicaEvents(si, ri int) []Event {
-	s := cl.states[si][ri]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return cl.states[si][ri].appendEvents(nil)
 }
 
-// ResetEvents clears every replica's event log (test/benchmark setup).
+// EventCount reports how many events of the given kind every shard
+// replica has recorded since construction or the last ResetEvents,
+// including events the bounded logs no longer retain.
+func (cl *Cluster) EventCount(kind EventKind) uint64 {
+	var n uint64
+	for _, reps := range cl.states {
+		for _, s := range reps {
+			s.mu.Lock()
+			n += s.counts[kind]
+			s.mu.Unlock()
+		}
+	}
+	return n
+}
+
+// ResetEvents clears every replica's event log and counters
+// (test/benchmark setup).
 func (cl *Cluster) ResetEvents() {
 	for _, reps := range cl.states {
 		for _, s := range reps {
 			s.mu.Lock()
-			s.events = nil
+			s.events, s.next, s.counts = nil, 0, [numEventKinds]uint64{}
 			s.mu.Unlock()
 		}
 	}
@@ -481,265 +518,10 @@ func (cl *Cluster) pickBackup(si, primary int) (*shardState, int, bool) {
 	return nil, 0, false
 }
 
-// runShardResilient drives one shard's attempt loop: breaker-aware
-// replica selection, bounded retry with jittered backoff, hedged
-// dispatch on replicated clusters, parent-context awareness.
-//
-// event recording and error construction are outlined.
-//
-//boss:hotpath one call per (query, shard).
-func (cl *Cluster) runShardResilient(ctx context.Context, node *query.Node, dnf [][]string, si, k int, qkey uint64) shardOut {
-	for attempt := 0; ; attempt++ {
-		if cause := ctx.Err(); cause != nil {
-			return shardOut{err: shardError(si, cause)} //boss:escape-ok cold cancellation error path
-		}
-		st, ri, ok := cl.pickReplica(si, qkey, attempt)
-		if !ok {
-			return shardOut{err: breakerError(si)} //boss:escape-ok cold breaker-open error path
-		}
-		recordAttempt(st, attempt)
-		var out shardOut
-		if cl.res.HedgeEnabled && len(cl.states[si]) > 1 {
-			out = cl.runShardHedged(ctx, node, dnf, si, ri, k, attempt, st)
-		} else {
-			out = cl.runReplicaCtx(ctx, node, dnf, si, ri, k)
-			out.ri = ri
-			cl.settle(st, out.err, attempt)
-		}
-		if out.err == nil {
-			return out
-		}
-		if attempt >= cl.res.MaxRetries || !cl.retryableOn(out.err, si) {
-			return out
-		}
-		if cause := ctx.Err(); cause != nil {
-			return out
-		}
-		d := cl.res.backoffDelay(si, attempt)
-		recordBackoff(st, attempt, d)
-		if cl.sleepFn(ctx, d) != nil {
-			return out // context died during backoff: report the last failure
-		}
-	}
-}
-
-// settle records an attempt's adopted outcome against the replica that
-// produced it (outlined from the retry loop).
-func (cl *Cluster) settle(st *shardState, err error, attempt int) {
-	if err == nil {
-		st.success()
-		return
-	}
-	st.failure(attempt, cl.now(), cl.res.BreakerThreshold, err)
-}
-
-// runShardHedged issues the attempt on the primary replica and arms the
-// hedge timer: if the primary has not answered at the cutoff, a backup
-// attempt fires on the next healthy replica and the first result to
-// arrive wins (a first arrival carrying an error waits for the other
-// runner before giving up). The loser is cancelled, its outcome never
-// reaches any breaker — only the adopted result settles its replica —
-// and its claim on a half-open probe slot is released. Both runners
-// deliver into cap-1 buffered channels, so a cancelled loser's
-// goroutine always exits.
-func (cl *Cluster) runShardHedged(ctx context.Context, node *query.Node, dnf [][]string, si, primary, k, attempt int, st *shardState) shardOut {
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	pch := make(chan shardOut, 1)
-	go cl.hedgeRun(pctx, node, dnf, si, primary, k, pch)
-	fire, stop := cl.timerFn(cl.res.HedgeCutoff)
-	var pout shardOut
-	select {
-	case pout = <-pch: // primary answered before the cutoff: no hedge
-		stop()
-		pout.ri = primary
-		cl.settle(st, pout.err, attempt)
-		return pout
-	case <-fire:
-	}
-	bst, bri, ok := cl.pickBackup(si, primary)
-	if !ok {
-		// Every other copy is sick: ride the primary to completion.
-		pout = <-pch
-		pout.ri = primary
-		cl.settle(st, pout.err, attempt)
-		return pout
-	}
-	recordHedge(bst, attempt)
-	bctx, bcancel := context.WithCancel(ctx)
-	defer bcancel()
-	bch := make(chan shardOut, 1)
-	go cl.hedgeRun(bctx, node, dnf, si, bri, k, bch)
-	var bout shardOut
-	var pdone bool
-	select {
-	case pout = <-pch:
-		pdone = true
-	case bout = <-bch:
-	}
-	if pdone && pout.err != nil {
-		bout = <-bch // primary lost its own race; let the backup finish
-		pdone = false
-	} else if !pdone && bout.err != nil {
-		pout = <-pch // backup failed first; fall back to the primary
-		pdone = true
-	}
-	if pdone {
-		bcancel()
-		bst.abandon()
-		pout.ri, pout.hedged = primary, 1
-		cl.settle(st, pout.err, attempt)
-		return pout
-	}
-	pcancel()
-	st.abandon()
-	bout.ri, bout.hedged, bout.hedgeWin = bri, 1, bout.err == nil
-	cl.settle(bst, bout.err, attempt)
-	return bout
-}
-
-// hedgeRun executes one replica attempt and delivers its result on a
-// cap-1 buffered channel: the send never blocks, so a cancelled loser's
-// goroutine always exits.
-func (cl *Cluster) hedgeRun(ctx context.Context, node *query.Node, dnf [][]string, si, ri, k int, ch chan<- shardOut) {
-	ch <- cl.runFn(ctx, node, dnf, si, ri, k)
-}
-
-// recordAttempt / recordBackoff / recordHedge / breakerError are
-// outlined from the retry loop so the hot path stays free of composite
-// construction.
-func recordAttempt(st *shardState, attempt int) {
-	st.mu.Lock()
-	st.record(EvAttempt, attempt, 0, nil)
-	st.mu.Unlock()
-}
-
-func recordBackoff(st *shardState, attempt int, d time.Duration) {
-	st.mu.Lock()
-	st.record(EvBackoff, attempt, d, nil)
-	st.mu.Unlock()
-}
-
-func recordHedge(st *shardState, attempt int) {
-	st.mu.Lock()
-	st.record(EvHedge, attempt, 0, nil)
-	st.mu.Unlock()
-}
-
+// breakerError tags a breaker rejection with its shard (outlined like
+// shardError).
 func breakerError(si int) error {
 	return fmt.Errorf("pool: shard %d: %w", si, ErrShardUnavailable)
-}
-
-// mergePartial folds per-shard results into the root-merged ranking,
-// degrading gracefully: failed shards set their bit in Degraded and park
-// their error in ShardErrs instead of failing the query. Only when every
-// populated shard failed does the query itself error.
-func (cl *Cluster) mergePartial(outs []shardOut, k int) (*ClusterResult, error) {
-	res := &ClusterResult{PerShard: make([]*perf.Metrics, len(outs))}
-	if cl.Replicas() > 1 {
-		// Replica attribution is allocated only on replicated clusters so
-		// single-copy serving pays nothing new.
-		res.ServedBy = make([]int, len(outs))
-	}
-	merged := topk.NewHeap(k)
-	failed := 0
-	var firstErr error
-	for si, out := range outs {
-		res.Hedged += out.hedged
-		if out.hedgeWin {
-			res.HedgeWins++
-		}
-		if res.ServedBy != nil {
-			if out.err != nil || out.m == nil {
-				res.ServedBy[si] = -1
-			} else {
-				res.ServedBy[si] = out.ri
-			}
-		}
-		if out.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if si < 64 {
-				res.Degraded |= 1 << uint(si)
-			}
-			if res.ShardErrs == nil {
-				res.ShardErrs = make([]error, len(outs))
-			}
-			res.ShardErrs[si] = out.err
-			continue
-		}
-		if out.m == nil {
-			continue
-		}
-		res.PerShard[si] = out.m
-		res.LinkBytes += out.m.HostBytes
-		for _, e := range out.topk {
-			merged.Insert(e.DocID+cl.offsets[si], e.Score)
-		}
-	}
-	if failed == len(outs) && failed > 0 {
-		return nil, firstErr
-	}
-	res.TopK = merged.Results()
-	return res, nil
-}
-
-// SearchCtx is Search with deadlines, retries, circuit breaking, and
-// graceful degradation: surviving shards' top-k merge into a partial
-// result whose Degraded mask and ShardErrs name the missing shards. The
-// query errors only when the context dies or every shard fails.
-func (cl *Cluster) SearchCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	qkey := mem.StableKey(expr)
-	outs := make([]shardOut, len(cl.shards))
-	workers := cl.workers(len(cl.shards))
-	if workers == 1 {
-		for si := range cl.shards {
-			outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range next {
-					outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-				}
-			}()
-		}
-		dispatched := 0
-	dispatch:
-		for si := range cl.shards {
-			select {
-			case next <- si:
-				dispatched++
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-		for si := dispatched; si < len(cl.shards); si++ {
-			outs[si] = shardOut{err: shardError(si, ctx.Err())}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cl.mergePartial(outs, k)
 }
 
 // maskHas reports whether shard si participates under a front-door shard
@@ -756,144 +538,4 @@ func maskHas(mask uint64, si int) bool {
 // shedShardError tags a deliberately-shed shard (outlined like shardError).
 func shedShardError(si int) error {
 	return fmt.Errorf("pool: shard %d: %w", si, ErrShardShed)
-}
-
-// searchSerialCtx sweeps one query across all shards on the calling
-// goroutine with the full resilience machinery.
-func (cl *Cluster) searchSerialCtx(ctx context.Context, expr string, k int) (*ClusterResult, error) {
-	return cl.searchSerialCtxMask(ctx, expr, k, 0)
-}
-
-// searchSerialCtxMask is searchSerialCtx under a front-door shard mask:
-// masked-out shards are skipped entirely (no attempt, no breaker or retry
-// activity) and reported in the result's Degraded bitmask with ErrShardShed.
-func (cl *Cluster) searchSerialCtxMask(ctx context.Context, expr string, k int, mask uint64) (*ClusterResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	node, dnf, err := cl.prepare(expr)
-	if err != nil {
-		return nil, err
-	}
-	qkey := mem.StableKey(expr)
-	outs := make([]shardOut, len(cl.shards))
-	for si := range cl.shards {
-		if !maskHas(mask, si) {
-			outs[si] = shardOut{err: shedShardError(si)}
-			continue
-		}
-		outs[si] = cl.runShardResilient(ctx, node, dnf, si, k, qkey)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cl.mergePartial(outs, k)
-}
-
-// batchDriver runs one resilient execution per query index on a bounded
-// worker pool, honoring cancellation: a dead context fails the remaining
-// queries promptly and no goroutines outlive the call. SearchBatchCtx and
-// SearchBatchQueries share it.
-func (cl *Cluster) batchDriver(ctx context.Context, n int, run func(qi int) (*ClusterResult, error)) *BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	br := &BatchResult{
-		Results: make([]*ClusterResult, n),
-		Errs:    make([]error, n),
-	}
-	if err := ctx.Err(); err != nil {
-		for qi := 0; qi < n; qi++ {
-			br.Errs[qi] = err
-		}
-		br.Err = err
-		return br
-	}
-	workers := cl.workers(n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range next {
-				br.Results[qi], br.Errs[qi] = run(qi)
-			}
-		}()
-	}
-	dispatched := 0
-dispatch:
-	for qi := 0; qi < n; qi++ {
-		select {
-		case next <- qi:
-			dispatched++
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	for qi := dispatched; qi < n; qi++ {
-		br.Errs[qi] = ctx.Err()
-	}
-	for _, err := range br.Errs {
-		if err != nil {
-			br.Err = err
-			break
-		}
-	}
-	return br
-}
-
-// SearchBatchCtx pipelines a batch with per-query resilience: each
-// worker owns one in-flight query and sweeps it across all shards.
-// Unlike SearchBatch, a shard failure degrades that query's result
-// instead of failing it. A dead context fails the remaining queries
-// promptly; no goroutines outlive the call.
-func (cl *Cluster) SearchBatchCtx(ctx context.Context, exprs []string, k int) *BatchResult {
-	return cl.batchDriver(ctx, len(exprs), func(qi int) (*ClusterResult, error) {
-		return cl.searchSerialCtx(ctx, exprs[qi], k)
-	})
-}
-
-// BatchQuery is one query of a heterogeneous resilient batch: either a
-// search (Expr) or a document fetch (FetchIDs), with an optional
-// front-door shard mask. Carrying both in one query is an error.
-type BatchQuery struct {
-	// Expr is the boolean query expression (search queries).
-	Expr string
-	// K is the query's top-k depth (<= 0 uses the cluster config's K).
-	K int
-	// ShardMask, when non-zero, restricts execution to the shards whose
-	// bits are set; excluded shards appear in the result's Degraded mask
-	// with ErrShardShed. Zero executes every shard.
-	ShardMask uint64
-	// FetchIDs, when non-empty, makes this query a document fetch: the
-	// result's Docs holds the payloads of these global docIDs, in order.
-	// Mutually exclusive with Expr.
-	FetchIDs []uint32
-}
-
-// errExprAndFetch rejects a BatchQuery that is both a search and a fetch.
-var errExprAndFetch = errors.New("pool: BatchQuery carries both Expr and FetchIDs")
-
-// SearchBatchQueries is SearchBatchCtx for heterogeneous queries: per-query
-// top-k depths, front-door shard masks, and document fetches. It is the
-// execution surface the front-door serving tier flushes its coalesced
-// batches into.
-func (cl *Cluster) SearchBatchQueries(ctx context.Context, qs []BatchQuery) *BatchResult {
-	return cl.batchDriver(ctx, len(qs), func(qi int) (*ClusterResult, error) {
-		q := qs[qi]
-		if len(q.FetchIDs) > 0 {
-			if q.Expr != "" {
-				return nil, errExprAndFetch
-			}
-			return cl.fetchBatchMask(ctx, q.FetchIDs, q.ShardMask)
-		}
-		k := q.K
-		if k <= 0 {
-			k = cl.cfg.K
-		}
-		return cl.searchSerialCtxMask(ctx, q.Expr, k, q.ShardMask)
-	})
 }
